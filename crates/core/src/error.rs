@@ -3,6 +3,8 @@ use std::fmt;
 
 use aim_store::StoreError;
 
+use crate::ids::{AgentId, Step};
+
 /// Errors surfaced by the engine's execution drivers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -19,6 +21,16 @@ pub enum EngineError {
     },
     /// Invalid engine configuration.
     Config(String),
+    /// A program's agent step panicked; the run stopped without
+    /// committing that cluster.
+    AgentPanicked {
+        /// The agent whose step panicked.
+        agent: AgentId,
+        /// The step it was running.
+        step: Step,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -27,6 +39,15 @@ impl fmt::Display for EngineError {
             EngineError::Store(e) => write!(f, "dependency store error: {e}"),
             EngineError::Deadlock { detail } => write!(f, "scheduler deadlock: {detail}"),
             EngineError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            EngineError::AgentPanicked {
+                agent,
+                step,
+                message,
+            } => write!(
+                f,
+                "agent {} panicked at step {}: {message}",
+                agent.0, step.0
+            ),
         }
     }
 }

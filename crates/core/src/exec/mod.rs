@@ -5,8 +5,8 @@
 //!   benchmark path (§4.1) and what all experiments use.
 //! * [`threaded`] — a real controller/worker runtime over OS threads and
 //!   blocking [`aim_llm::LlmBackend`] calls; Algorithm 3 in the flesh
-//!   (workers pull ready clusters, run one thread per agent, commit,
-//!   acknowledge).
+//!   (workers pull ready clusters, run the members on a persistent
+//!   process-wide member pool, commit, acknowledge).
 
 //! * [`spec_sim`] — the discrete-event executor driving the *speculative*
 //!   scheduler ([`crate::spec`]): poisoned results are discarded and
@@ -16,6 +16,7 @@
 //!   interactive/offline deployment).
 
 pub mod hybrid;
+mod pool;
 pub mod sim;
 pub mod spec_sim;
 pub mod threaded;

@@ -3,11 +3,16 @@
 //! The controller (the calling thread) owns the [`Scheduler`]; it pushes
 //! ready clusters into a shared priority `ready_queue` and consumes
 //! completion confirmations from an `ack_queue`, both priority-ordered by
-//! simulation step (§3.1, §3.5). Worker threads pull clusters, run **one
-//! thread per member agent** (the paper maps agents to threads and workers
-//! to processes — Rust has no GIL, so workers are threads too), resolve
-//! and commit the step through the user's [`ClusterProgram`], and
-//! acknowledge.
+//! simulation step (§3.1, §3.5). Worker threads pull clusters, run the
+//! members' agent steps, resolve and commit the step through the user's
+//! [`ClusterProgram`], and acknowledge. The paper maps agents to threads
+//! and workers to processes; Rust has no GIL, so workers are threads too,
+//! and a worker hands its members to a persistent, process-wide member
+//! pool instead of starting a thread per agent-step: it runs members
+//! itself while pool threads help, and commits in member order. The pool
+//! keeps about one runnable thread per core and replaces a thread that
+//! blocks in an LLM call, so every call of an I/O-bound run stays in
+//! flight.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,6 +21,7 @@ use aim_llm::LlmBackend;
 use aim_store::PriorityQueue;
 use serde::{Deserialize, Serialize};
 
+use super::pool::{self, PoolBackend};
 use crate::depgraph::{DepGraph, DepTracker};
 use crate::error::EngineError;
 use crate::ids::{AgentId, Step};
@@ -184,12 +190,14 @@ impl<S: Space, G: DepTracker<S>> std::fmt::Debug for CheckpointHook<'_, S, G> {
 /// # Errors
 ///
 /// Returns [`EngineError::Deadlock`] if the scheduler reports no ready and
-/// no in-flight work before finishing (a rule bug), and propagates store
-/// errors from completions.
+/// no in-flight work before finishing (a rule bug),
+/// [`EngineError::AgentPanicked`] if a [`ClusterProgram::agent_step`]
+/// panics, and propagates store errors from completions.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is resumed on the caller).
+/// Panics if [`ClusterProgram::commit`] panics (the panic is resumed on
+/// the caller).
 pub fn run_threaded<S, G, P>(
     scheduler: &mut Scheduler<S, G>,
     program: Arc<P>,
@@ -213,7 +221,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or the hook cadence is zero.
+/// Panics if [`ClusterProgram::commit`] panics or the hook cadence is
+/// zero.
 pub fn run_threaded_with_checkpoints<S, G, P>(
     scheduler: &mut Scheduler<S, G>,
     program: Arc<P>,
@@ -262,7 +271,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or the hook cadence is zero.
+/// Panics if [`ClusterProgram::commit`] panics or the hook cadence is
+/// zero.
 pub fn run_threaded_observed<S, G, P>(
     scheduler: &mut Scheduler<S, G>,
     program: Arc<P>,
@@ -291,59 +301,82 @@ where
         }
         None => backend,
     };
+    let backend = PoolBackend::new(backend);
     let run_start_us = telemetry.as_ref().map(|t| t.now_us());
-    type Ack<P2> = (crate::ids::ClusterId, Vec<(AgentId, P2)>);
+    type Ack<P2> = (
+        crate::ids::ClusterId,
+        Result<Vec<(AgentId, P2)>, EngineError>,
+    );
     let ready: Arc<PriorityQueue<Cluster>> = Arc::new(PriorityQueue::new());
     let ack: Arc<PriorityQueue<Ack<S::Pos>>> = Arc::new(PriorityQueue::new());
     let started = Instant::now();
     let mut clusters = 0u64;
     let mut agent_steps = 0u64;
+    // One member's agent step, stamped with its finish time while the
+    // sink is enabled (0 otherwise). Shared by every job of the run.
+    let member = {
+        let program = Arc::clone(&program);
+        let telemetry = telemetry.clone();
+        Arc::new(move |agent: AgentId, step: Step| {
+            let action = program.agent_step(agent, step, &backend);
+            let finished_us = telemetry
+                .as_deref()
+                .filter(|t| t.is_enabled())
+                .map_or(0, Telemetry::now_us);
+            (action, finished_us)
+        })
+    };
+    let helpers = pool::Run::new();
 
     let result = std::thread::scope(|scope| -> Result<(), EngineError> {
-        // Workers: pull cluster → one thread per agent → commit → ack.
+        // Workers: pull cluster → members on the pool → commit → ack.
         let mut handles = Vec::new();
         for _ in 0..cfg.workers {
             let ready = Arc::clone(&ready);
             let ack = Arc::clone(&ack);
             let program = Arc::clone(&program);
-            let backend = Arc::clone(&backend);
+            let (member, helpers) = (&member, &helpers);
             let priority = cfg.priority_enabled;
             let telemetry = telemetry.clone();
             handles.push(scope.spawn(move || {
                 let rec = telemetry.as_ref().map(|t| t.recorder());
                 while let Some(cluster) = ready.pop() {
                     let cluster_t0 = rec.as_ref().and_then(|r| r.start());
+                    let prio = if priority { cluster.step.priority() } else { 0 };
+                    let outcomes = {
+                        let member = Arc::clone(member);
+                        let (members, step) = (cluster.members.clone(), cluster.step);
+                        helpers.map(members.len(), move |i| member(members[i], step))
+                    };
                     // Per-member finish timestamps, collected only while
                     // the sink is enabled (stays empty — no allocation —
                     // on the disabled path).
                     let mut finishes: Vec<(u32, u64)> = Vec::new();
-                    let actions: Vec<(AgentId, P::Action)> = std::thread::scope(|agents| {
-                        let mut joins = Vec::with_capacity(cluster.members.len());
-                        for &m in &cluster.members {
-                            let program = Arc::clone(&program);
-                            let backend = Arc::clone(&backend);
-                            let step = cluster.step;
-                            let tel = telemetry.as_deref().filter(|t| t.is_enabled());
-                            joins.push((
-                                m,
-                                agents.spawn(move || {
-                                    let action = program.agent_step(m, step, backend.as_ref());
-                                    (action, tel.map_or(0, Telemetry::now_us))
-                                }),
-                            ));
-                        }
-                        joins
-                            .into_iter()
-                            .map(|(m, j)| {
-                                let (action, finished_us) =
-                                    j.join().expect("agent thread panicked");
+                    let mut actions = Vec::with_capacity(outcomes.len());
+                    let mut panicked = None;
+                    for (&m, outcome) in cluster.members.iter().zip(outcomes) {
+                        match outcome {
+                            Ok((action, finished_us)) => {
                                 if finished_us > 0 {
                                     finishes.push((m.0, finished_us));
                                 }
-                                (m, action)
-                            })
-                            .collect()
-                    });
+                                actions.push((m, action));
+                            }
+                            Err(payload) => {
+                                panicked.get_or_insert(EngineError::AgentPanicked {
+                                    agent: m,
+                                    step: cluster.step,
+                                    message: panic_message(payload.as_ref()),
+                                });
+                            }
+                        }
+                    }
+                    if let Some(e) = panicked {
+                        if ack.push(prio, (cluster.id, Err(e))).is_err() {
+                            break; // controller gone
+                        }
+                        continue;
+                    }
                     if let Some(r) = &rec {
                         // Intra-cluster barrier: everyone who finished
                         // before the straggler was blocked on it.
@@ -395,8 +428,7 @@ where
                             );
                         }
                     }
-                    let prio = if priority { cluster.step.priority() } else { 0 };
-                    if ack.push(prio, (cluster.id, new_pos)).is_err() {
+                    if ack.push(prio, (cluster.id, Ok(new_pos))).is_err() {
                         break; // controller gone
                     }
                 }
@@ -458,11 +490,12 @@ where
                         detail: "no in-flight clusters and none ready".to_string(),
                     });
                 }
-                let Some((cid, new_pos)) = ack.pop() else {
+                let Some((cid, outcome)) = ack.pop() else {
                     return Err(EngineError::Deadlock {
                         detail: "ack queue closed with work outstanding".to_string(),
                     });
                 };
+                let new_pos = outcome?;
                 clusters += 1;
                 agent_steps += new_pos.len() as u64;
                 let ctl_t0 = ctl.as_ref().and_then(|r| r.start());
@@ -495,6 +528,11 @@ where
         }
         outcome
     });
+    // Every worker has joined, so every job is off the pool's queue; wait
+    // out the pool threads still holding one, so no clone of `program`
+    // or the backend outlives the call.
+    drop(member);
+    drop(helpers);
     result?;
 
     let telemetry = telemetry.map(|t| {
@@ -520,6 +558,15 @@ where
     })
 }
 
+/// The text of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,23 +576,34 @@ mod tests {
     use aim_llm::{CallKind, InstantBackend, LlmRequest, RequestId};
     use aim_store::Db;
     use parking_lot::Mutex;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The member pool is process-wide: tests that run the runtime take
+    /// this lock so thread counts and timings see only their own run.
+    static POOL_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> parking_lot::MutexGuard<'static, ()> {
+        POOL_TESTS.lock()
+    }
+
     /// Program: each agent makes one LLM call per step and random-walks +1
-    /// in x; records the order of (agent, step) commits for verification.
+    /// in x; records the order of (agent, step) commits and the threads
+    /// that ran agent steps. Optionally spins after the call (CPU-bound
+    /// members) or panics on one (agent, step).
     struct WalkProgram {
         calls: AtomicU64,
-        req_ids: AtomicU64,
         positions: Mutex<HashMap<u32, Point>>,
         log: Mutex<Vec<(u32, u32)>>,
+        threads: Mutex<HashSet<std::thread::ThreadId>>,
+        spin: Duration,
+        panic_at: Option<(u32, u32)>,
     }
 
     impl WalkProgram {
         fn new(initial: &[Point]) -> Self {
             WalkProgram {
                 calls: AtomicU64::new(0),
-                req_ids: AtomicU64::new(0),
                 positions: Mutex::new(
                     initial
                         .iter()
@@ -554,6 +612,9 @@ mod tests {
                         .collect(),
                 ),
                 log: Mutex::new(Vec::new()),
+                threads: Mutex::new(HashSet::new()),
+                spin: Duration::ZERO,
+                panic_at: None,
             }
         }
     }
@@ -561,10 +622,21 @@ mod tests {
     impl ClusterProgram<GridSpace> for WalkProgram {
         type Action = Point;
 
-        fn agent_step(&self, agent: AgentId, _step: Step, llm: &dyn LlmBackend) -> Point {
-            let id = RequestId(self.req_ids.fetch_add(1, Ordering::Relaxed));
+        fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> Point {
+            self.threads.lock().insert(std::thread::current().id());
+            let id = RequestId::for_call(agent.0, step.0, 0);
             llm.call(&LlmRequest::new(id, agent.0, 0, 64, 8, CallKind::Plan));
             self.calls.fetch_add(1, Ordering::Relaxed);
+            let t0 = Instant::now();
+            while t0.elapsed() < self.spin {
+                std::hint::spin_loop();
+            }
+            assert!(
+                self.panic_at != Some((agent.0, step.0)),
+                "agent {} fails at step {}",
+                agent.0,
+                step.0
+            );
             let cur = self.positions.lock()[&agent.0];
             Point::new(cur.x + 1, cur.y)
         }
@@ -584,6 +656,20 @@ mod tests {
         }
     }
 
+    /// A backend whose every call sleeps a fixed time.
+    struct SleepBackend(Duration);
+
+    impl LlmBackend for SleepBackend {
+        fn call(&self, req: &LlmRequest) -> aim_llm::LlmResponse {
+            std::thread::sleep(self.0);
+            InstantBackend::new().call(req)
+        }
+
+        fn describe(&self) -> String {
+            format!("sleep({:?})", self.0)
+        }
+    }
+
     fn mk_sched(initial: &[Point], policy: DependencyPolicy, target: u32) -> Scheduler<GridSpace> {
         Scheduler::new(
             Arc::new(GridSpace::new(1000, 1000)),
@@ -598,6 +684,7 @@ mod tests {
 
     #[test]
     fn threaded_run_completes_and_counts() {
+        let _serial = serial();
         let initial = vec![Point::new(0, 0), Point::new(100, 100), Point::new(200, 200)];
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 4);
         let program = Arc::new(WalkProgram::new(&initial));
@@ -625,6 +712,7 @@ mod tests {
 
     #[test]
     fn threaded_respects_coupling() {
+        let _serial = serial();
         // Two adjacent agents must commit each step together (same cluster),
         // so their per-step commit entries must be adjacent in the log.
         let initial = vec![Point::new(0, 0), Point::new(2, 0)];
@@ -648,6 +736,7 @@ mod tests {
 
     #[test]
     fn threaded_with_many_workers_and_agents() {
+        let _serial = serial();
         let initial: Vec<Point> = (0..20)
             .map(|i| Point::new((i % 5) * 50, (i / 5) * 50))
             .collect();
@@ -671,6 +760,7 @@ mod tests {
 
     #[test]
     fn report_identifies_the_backend() {
+        let _serial = serial();
         let initial = vec![Point::new(0, 0)];
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 2);
         let program = Arc::new(WalkProgram::new(&initial));
@@ -681,6 +771,7 @@ mod tests {
 
     #[test]
     fn threaded_run_over_heterogeneous_fleet() {
+        let _serial = serial();
         use aim_llm::{FleetConfig, LatencyProfile, ReplicaSpec, RoutePolicyKind};
 
         let initial: Vec<Point> = (0..8).map(|i| Point::new(i * 100, 0)).collect();
@@ -724,6 +815,7 @@ mod tests {
 
     #[test]
     fn checkpoint_hook_fires_quiesced_on_cadence() {
+        let _serial = serial();
         let initial: Vec<Point> = (0..6).map(|i| Point::new(i * 100, 0)).collect();
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 9);
         let program = Arc::new(WalkProgram::new(&initial));
@@ -761,6 +853,7 @@ mod tests {
 
     #[test]
     fn checkpoint_hook_error_aborts_cleanly() {
+        let _serial = serial();
         let initial = vec![Point::new(0, 0), Point::new(300, 300)];
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 6);
         let program = Arc::new(WalkProgram::new(&initial));
@@ -787,6 +880,7 @@ mod tests {
 
     #[test]
     fn observed_run_produces_unified_telemetry() {
+        let _serial = serial();
         use crate::telemetry::Phase;
 
         let initial: Vec<Point> = (0..6).map(|i| Point::new(i * 100, 0)).collect();
@@ -823,6 +917,7 @@ mod tests {
 
     #[test]
     fn observed_global_sync_records_barrier_blocking() {
+        let _serial = serial();
         // Lock-step forces all agents into one barrier cluster per step;
         // with a deliberately slow straggler the other members must show
         // barrier-blocked spans naming it.
@@ -890,6 +985,7 @@ mod tests {
 
     #[test]
     fn global_sync_threaded_matches_lockstep() {
+        let _serial = serial();
         let initial = vec![Point::new(0, 0), Point::new(500, 500)];
         let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 3);
         let program = Arc::new(WalkProgram::new(&initial));
@@ -897,5 +993,137 @@ mod tests {
         let report = run_threaded(&mut sched, program, backend, ThreadedConfig::default()).unwrap();
         assert_eq!(report.clusters, 3, "one barrier cluster per step");
         assert_eq!(sched.stats().max_step_skew, 0);
+    }
+
+    #[test]
+    fn blocked_members_keep_every_call_in_flight() {
+        let _serial = serial();
+        // One worker, one lock-step cluster of 8 members, each making one
+        // call that sleeps d: pool threads that block in a call are
+        // replaced, so the calls overlap and the cluster takes about d.
+        let d = Duration::from_millis(150);
+        let initial: Vec<Point> = (0..8).map(|i| Point::new(i * 100, 0)).collect();
+        let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 1);
+        let program = Arc::new(WalkProgram::new(&initial));
+        let report = run_threaded(
+            &mut sched,
+            Arc::clone(&program),
+            Arc::new(SleepBackend(d)),
+            ThreadedConfig {
+                workers: 1,
+                priority_enabled: true,
+            },
+        )
+        .unwrap();
+        assert_eq!((report.clusters, report.agent_steps), (1, 8));
+        assert!(
+            report.wall < 2 * d,
+            "8 calls of {d:?} took {:?}: members did not overlap",
+            report.wall
+        );
+    }
+
+    #[test]
+    fn cpu_bound_runs_use_a_bounded_set_of_threads() {
+        let _serial = serial();
+        // Eight far-apart groups of four co-located agents: every step of
+        // a group is one 4-member cluster, and members spin after an
+        // instant call. The threads that ran agent steps are the workers
+        // plus about one pool thread per core, however many clusters run.
+        let initial: Vec<Point> = (0..32).map(|i| Point::new((i / 4) * 200, 0)).collect();
+        let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 10);
+        let mut program = WalkProgram::new(&initial);
+        program.spin = Duration::from_micros(50);
+        let program = Arc::new(program);
+        let workers = 2;
+        let report = run_threaded(
+            &mut sched,
+            Arc::clone(&program),
+            Arc::new(InstantBackend::new()),
+            ThreadedConfig {
+                workers,
+                priority_enabled: true,
+            },
+        )
+        .unwrap();
+        assert!(report.clusters >= 50, "{} clusters", report.clusters);
+        assert!(sched.stats().max_cluster_size >= 4);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = program.threads.lock().len();
+        assert!(
+            threads <= workers + cores + 2,
+            "{threads} threads ran agent steps ({workers} workers, {cores} cores)"
+        );
+    }
+
+    #[test]
+    fn concurrent_runs_finish_and_release_their_programs() {
+        let _serial = serial();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let initial: Vec<Point> = (0..6).map(|i| Point::new(i * 100, 0)).collect();
+                    let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 5);
+                    let program = Arc::new(WalkProgram::new(&initial));
+                    start.wait();
+                    let report = run_threaded(
+                        &mut sched,
+                        Arc::clone(&program),
+                        Arc::new(SleepBackend(Duration::from_millis(1))),
+                        ThreadedConfig {
+                            workers: 2,
+                            priority_enabled: true,
+                        },
+                    )
+                    .unwrap();
+                    assert_eq!(report.agent_steps, 30);
+                    assert!(
+                        Arc::try_unwrap(program).is_ok(),
+                        "the pool still holds the program after the run"
+                    );
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn agent_panic_is_an_error_and_the_pool_survives() {
+        let _serial = serial();
+        let initial: Vec<Point> = (0..3).map(|i| Point::new(i * 300, 0)).collect();
+        let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 4);
+        let mut program = WalkProgram::new(&initial);
+        program.panic_at = Some((1, 2));
+        let program = Arc::new(program);
+        let r = run_threaded(
+            &mut sched,
+            Arc::clone(&program),
+            Arc::new(InstantBackend::new()),
+            ThreadedConfig::default(),
+        );
+        match r {
+            Err(EngineError::AgentPanicked {
+                agent,
+                step,
+                message,
+            }) => {
+                assert_eq!((agent, step), (AgentId(1), Step(2)));
+                assert!(message.contains("agent 1 fails at step 2"), "{message}");
+            }
+            other => panic!("expected an agent panic, got {other:?}"),
+        }
+        assert!(!sched.is_done());
+        assert!(Arc::try_unwrap(program).is_ok());
+        // The same process runs the next simulation normally.
+        let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 4);
+        let report = run_threaded(
+            &mut sched,
+            Arc::new(WalkProgram::new(&initial)),
+            Arc::new(InstantBackend::new()),
+            ThreadedConfig::default(),
+        )
+        .unwrap();
+        assert!(sched.is_done());
+        assert_eq!(report.agent_steps, 12);
     }
 }

@@ -1655,7 +1655,7 @@ fn decompose(spans: &[Span], wall_us: u64, agents: u32) -> Decomposition {
 /// An [`LlmBackend`] wrapper that records every call as an
 /// [`SpanKind::LlmCall`] span, attributed to the issuing agent and step
 /// straight off the request. Transparent otherwise: `describe`,
-/// `fleet_metrics`, and `install_observer` all delegate.
+/// `fleet_metrics`, `install_observer`, and `time_scale` all delegate.
 pub struct TelemetryBackend {
     inner: Arc<dyn LlmBackend>,
     telemetry: Arc<Telemetry>,
@@ -1705,6 +1705,10 @@ impl LlmBackend for TelemetryBackend {
 
     fn install_observer(&self, observer: Arc<dyn CallObserver>) -> bool {
         self.inner.install_observer(observer)
+    }
+
+    fn time_scale(&self) -> Option<f64> {
+        self.inner.time_scale()
     }
 }
 

@@ -8,6 +8,34 @@ use serde::{Deserialize, Serialize};
 )]
 pub struct RequestId(pub u64);
 
+impl RequestId {
+    /// The id of `agent`'s `call`-th LLM call (0-based) in step `step`.
+    ///
+    /// A pure function of the three, so a seeded run issues the same ids
+    /// however its cluster members interleave — and a replayed latency
+    /// keyed on the id reproduces too. Packs agent (24 bits), step
+    /// (24 bits) and call (16 bits), so ids are unique within a run while
+    /// each stays below its width.
+    ///
+    /// ```
+    /// use aim_llm::RequestId;
+    ///
+    /// assert_eq!(RequestId::for_call(3, 7, 1), RequestId::for_call(3, 7, 1));
+    /// assert_ne!(RequestId::for_call(3, 7, 1), RequestId::for_call(7, 3, 1));
+    /// ```
+    pub fn for_call(agent: u32, step: u32, call: u32) -> RequestId {
+        debug_assert!(
+            agent < 1 << 24 && step < 1 << 24 && call < 1 << 16,
+            "request id fields out of range: agent {agent}, step {step}, call {call}"
+        );
+        RequestId(
+            (u64::from(agent) & 0xff_ffff) << 40
+                | (u64::from(step) & 0xff_ffff) << 16
+                | u64::from(call) & 0xffff,
+        )
+    }
+}
+
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req#{}", self.0)
@@ -271,6 +299,19 @@ mod tests {
     fn lane_ranks_order_interactive_first() {
         assert!(Lane::Interactive.rank() < Lane::Background.rank());
         assert_eq!(Lane::default(), Lane::Background);
+    }
+
+    #[test]
+    fn call_ids_are_distinct_across_fields() {
+        let ids: std::collections::HashSet<RequestId> = (0..4)
+            .flat_map(|a| (0..4).flat_map(move |s| (0..4).map(move |c| (a, s, c))))
+            .map(|(a, s, c)| RequestId::for_call(a, s, c))
+            .collect();
+        assert_eq!(ids.len(), 64);
+        assert_eq!(
+            RequestId::for_call((1 << 24) - 1, (1 << 24) - 1, 0xffff),
+            RequestId(u64::MAX)
+        );
     }
 
     #[test]

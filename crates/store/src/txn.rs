@@ -175,13 +175,27 @@ impl<'db> Txn<'db> {
     }
 }
 
+/// Waits before retry `attempt + 1` of a conflicted transaction: yields
+/// for the first few, then sleeps 1, 2, 4, … µs (capped at 1 ms). Without
+/// it, writers racing on one key can keep invalidating each other until
+/// every one of them runs out of attempts.
+fn backoff(attempt: u32) {
+    const YIELDS: u32 = 3;
+    if attempt < YIELDS {
+        std::thread::yield_now();
+    } else {
+        let us = 1u64 << (attempt - YIELDS).min(10);
+        std::thread::sleep(std::time::Duration::from_micros(us));
+    }
+}
+
 pub(crate) fn run<T>(
     db: &Db,
     max_attempts: u32,
     mut body: impl FnMut(&mut Txn<'_>) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
     use std::sync::atomic::Ordering;
-    for _attempt in 0..max_attempts.max(1) {
+    for attempt in 0..max_attempts.max(1) {
         let mut txn = Txn::new(db);
         let out = body(&mut txn)?;
         if txn.commit() {
@@ -189,6 +203,7 @@ pub(crate) fn run<T>(
             return Ok(out);
         }
         db.txn_conflicts.fetch_add(1, Ordering::Relaxed);
+        backoff(attempt);
     }
     Err(StoreError::TxnConflict {
         attempts: max_attempts.max(1),

@@ -5,9 +5,10 @@
 //! engine schedules clusters; this program supplies `agent.proceed`
 //! (= [`Village::plan_step`] + real blocking LLM calls) and
 //! `world.resolve_conflict_and_commit` (= [`Village::commit_step`]).
-//! The world lock is held only while planning and committing — never
-//! across LLM calls — so cluster members genuinely overlap their
-//! inference time.
+//! The world sits behind a reader-writer lock: planning reads only
+//! committed state, so members plan concurrently under `read()`, and
+//! commits take `write()`. Neither is held across LLM calls, so cluster
+//! members genuinely overlap their inference time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,15 +17,14 @@ use aim_core::scheduler::Cluster;
 use aim_core::space::{GridSpace, Point};
 use aim_core::{AgentId, Step};
 use aim_llm::{LlmBackend, LlmRequest, RequestId};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::village::{StepPlan, Village};
 
 /// Drives a [`Village`] under the threaded engine (see module docs).
 #[derive(Debug)]
 pub struct VillageProgram {
-    village: Mutex<Village>,
-    req_ids: AtomicU64,
+    village: RwLock<Village>,
     calls_made: AtomicU64,
     /// Scheduler steps are 0-based; the world may have been warmed up to
     /// an absolute step already. `world step = step_offset + cluster step`.
@@ -41,8 +41,7 @@ impl VillageProgram {
     /// absolute world step `step_offset`.
     pub fn with_step_offset(village: Village, step_offset: u32) -> Self {
         VillageProgram {
-            village: Mutex::new(village),
-            req_ids: AtomicU64::new(0),
+            village: RwLock::new(village),
             calls_made: AtomicU64::new(0),
             step_offset,
         }
@@ -50,7 +49,7 @@ impl VillageProgram {
 
     /// Committed agent positions (for seeding the scheduler).
     pub fn initial_positions(&self) -> Vec<Point> {
-        self.village.lock().positions()
+        self.village.read().positions()
     }
 
     /// Total LLM calls issued so far.
@@ -64,13 +63,13 @@ impl VillageProgram {
     }
 
     /// Serializes the village's runtime state
-    /// ([`Village::capture_state`]) under the world lock.
+    /// ([`Village::capture_state`]) under the world's read lock.
     ///
     /// Call from a quiesced executor (the threaded runtime's checkpoint
     /// barrier): the capture is then a commit-boundary cut consistent
     /// with the scheduler's store.
     pub fn capture_state(&self) -> bytes::Bytes {
-        self.village.lock().capture_state()
+        self.village.read().capture_state()
     }
 
     /// Consumes the program, returning the final world.
@@ -83,21 +82,22 @@ impl ClusterProgram<GridSpace> for VillageProgram {
     type Action = StepPlan;
 
     fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> StepPlan {
-        // Plan under the world lock (cheap, reads committed state only)…
+        // Plan under the world's read lock (cheap, reads committed state
+        // only)…
         let (plan, template) = {
-            let village = self.village.lock();
+            let village = self.village.read();
             let plan = village.plan_step(agent.0, self.step_offset + step.0);
             (plan, village.persona(agent.0).template)
         };
         // …then issue the plan's LLM calls without holding it. Calls are
         // tagged with the persona template so prefix-affinity routing and
         // replica prefix caches see the shared preamble (modeled as half
-        // the prompt: system prompt + archetype scaffold).
-        for call in &plan.calls {
-            let id = RequestId(self.req_ids.fetch_add(1, Ordering::Relaxed));
+        // the prompt: system prompt + archetype scaffold). Request ids
+        // derive from (agent, step, call), so seeded runs repeat them.
+        for (i, call) in plan.calls.iter().enumerate() {
             llm.call(
                 &LlmRequest::new(
-                    id,
+                    RequestId::for_call(agent.0, step.0, i as u32),
                     agent.0,
                     step.priority(),
                     call.input_tokens,
@@ -117,7 +117,7 @@ impl ClusterProgram<GridSpace> for VillageProgram {
         actions: Vec<(AgentId, StepPlan)>,
     ) -> Vec<(AgentId, Point)> {
         let plans: Vec<(u32, StepPlan)> = actions.into_iter().map(|(a, p)| (a.0, p)).collect();
-        let mut village = self.village.lock();
+        let mut village = self.village.write();
         village.commit_step(self.step_offset + cluster.step.0, &plans);
         plans
             .into_iter()

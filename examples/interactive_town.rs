@@ -1,5 +1,7 @@
-//! The threaded runtime, live: Algorithm 3 with real worker threads, one
-//! thread per agent, and a wall-clock-paced simulated serving engine.
+//! The threaded runtime, live: Algorithm 3 with real worker threads, cluster
+//! members on the process-wide member pool (a member blocked in an LLM call
+//! is replaced, so every call stays in flight), and a wall-clock-paced
+//! simulated serving engine.
 //!
 //! This is the deployment shape the paper sketches for interactive use
 //! (§6): the engine schedules a *live* village (no pre-recorded trace),

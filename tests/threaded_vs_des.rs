@@ -21,7 +21,6 @@ use ai_metropolis::world::clock_to_step;
 /// Replays a recorded trace through the threaded runtime.
 struct TraceProgram {
     trace: Trace,
-    req_ids: AtomicU64,
     calls: AtomicU64,
 }
 
@@ -29,10 +28,12 @@ impl ClusterProgram<GridSpace> for TraceProgram {
     type Action = Point;
 
     fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> Point {
-        for spec in Workload::calls(&self.trace, agent, step) {
-            let id = RequestId(self.req_ids.fetch_add(1, Ordering::Relaxed));
+        for (i, spec) in Workload::calls(&self.trace, agent, step)
+            .into_iter()
+            .enumerate()
+        {
             llm.call(&LlmRequest::new(
-                id,
+                RequestId::for_call(agent.0, step.0, i as u32),
                 agent.0,
                 step.priority(),
                 spec.input_tokens,
@@ -84,7 +85,6 @@ fn same_scheduling_work_in_both_executors() {
     let mut thr_sched = mk_sched(&trace, DependencyPolicy::Spatiotemporal);
     let program = Arc::new(TraceProgram {
         trace: trace.clone(),
-        req_ids: AtomicU64::new(0),
         calls: AtomicU64::new(0),
     });
     let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
@@ -127,7 +127,6 @@ fn threaded_oracle_policy_also_completes() {
     let mut sched = mk_sched(&trace, DependencyPolicy::Oracle(graph));
     let program = Arc::new(TraceProgram {
         trace: trace.clone(),
-        req_ids: AtomicU64::new(0),
         calls: AtomicU64::new(0),
     });
     let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
