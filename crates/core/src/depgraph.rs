@@ -14,21 +14,41 @@
 //!
 //! Blocked/coupled edges are **maintained**, not recomputed per query:
 //! when a commit (or rollback) moves a set of agents, only the edges
-//! *incident to those agents* are torn down and rebuilt, using the
-//! space's [`SpatialIndex`] to enumerate candidate neighbors instead of
-//! scanning the population. This is sound because an edge between two
-//! agents that both stayed put cannot change — positions are fixed and
-//! the blocking radius depends only on the pair's step gap — and, by the
-//! validity argument of §3.2 (Appendix A), an agent advancing can only
-//! *shed* edges it has to bystanders, never create one; every edge it
-//! gains is incident to it and therefore rebuilt here. Queries
+//! *incident to those agents* are torn down and rebuilt, using spatial
+//! indexes to enumerate candidate neighbors instead of scanning the
+//! population. This is sound because an edge between two agents that
+//! both stayed put cannot change — positions are fixed and the blocking
+//! radius depends only on the pair's step gap — and, by the validity
+//! argument of §3.2 (Appendix A), an agent advancing can only *shed*
+//! edges it has to bystanders, never create one; every edge it gains is
+//! incident to it and therefore rebuilt here. Queries
 //! ([`DepGraph::first_blocker`], [`DepGraph::coupled_of`]) then serve
 //! from adjacency lists in O(degree) without allocating.
 //!
+//! # Region pruning
+//!
+//! A pair's rule radius grows with its step gap, so the radius a relink
+//! must search is set by the step skew. Measured against the *global*
+//! skew, one straggler pocket lagging `K` steps would widen every relink
+//! in the world to `blocking_units(K)`. Instead, agents are partitioned
+//! into regions by a [`ShardMap`] — the space's own by default
+//! ([`Space::make_regions`]: fixed-width vertical strips on a grid, one
+//! region elsewhere), or an explicit one
+//! ([`crate::shard::ShardedDepGraph`]). Each region keeps a spatial index
+//! over the agents it owns and their `(step, agent)` set, i.e. its step
+//! bounds. A relink of `a` lists only the regions within the global-skew
+//! radius of `a` ([`ShardMap::shards_within`]), then queries each at the
+//! radius of `a`'s largest step gap to *that region's* members, skipping
+//! it when the region is provably farther away. A straggler widens
+//! queries in its own region only, and the regions visited do not grow
+//! with the size of the map. Candidates are re-checked with the exact
+//! rule predicates, so pruning changes cost, never an edge; see
+//! [`crate::shard`] for the exactness argument.
+//!
 //! The node table in the store remains the authoritative state; adjacency
-//! is a derived cache that [`DepGraph::recover`] rebuilds from scratch,
-//! which the property tests exploit to cross-check the incremental
-//! maintenance against a full rebuild after every operation.
+//! and regions are a derived cache that [`DepGraph::recover`] rebuilds
+//! from scratch, which the property tests exploit to cross-check the
+//! incremental maintenance against a full rebuild after every operation.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -39,7 +59,8 @@ use aim_store::{codec, Db, Key, StoreError};
 
 use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
-use crate::space::{Space, SpatialIndex};
+use crate::space::{ShardMap, Space, SpatialIndex};
+use crate::telemetry::{Counter, SpanKind, Telemetry};
 
 /// Namespace tag of the per-agent node records (`Key::tagged_u32`).
 /// Crate-visible so the distributed shard workers ([`crate::dist`]) write
@@ -58,8 +79,8 @@ pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 
 /// The dependency-tracking surface the [`crate::scheduler::Scheduler`]
 /// and the executors consume, abstracted so the same state machine drives
-/// both the single-shard [`DepGraph`] and the partitioned
-/// [`crate::shard::ShardedDepGraph`].
+/// the in-process [`DepGraph`] (with its default or an explicit region
+/// map) and the message-driven [`crate::dist::DistTracker`].
 ///
 /// Implementations must answer edge queries (`first_blocker`,
 /// `coupled_of`) **exactly** per the §3.2 rules — the scheduler's
@@ -114,8 +135,8 @@ pub trait DepTracker<S: Space>: Send {
 
     /// Attaches a telemetry sink so the tracker can record its internal
     /// work (relink batches, shard migrations) as spans. Default: ignore
-    /// — the single-shard [`DepGraph`]'s per-commit edge repair is folded
-    /// into the controller span, so only partitioned trackers override.
+    /// — a plain [`DepGraph`]'s per-commit edge repair is folded into the
+    /// controller span, so only explicitly sharded trackers override.
     fn set_telemetry(&mut self, telemetry: std::sync::Arc<crate::telemetry::Telemetry>) {
         let _ = telemetry;
     }
@@ -189,10 +210,21 @@ impl Default for GraphOptions {
     }
 }
 
+/// One region of the maintained edge state.
+struct Region<P> {
+    /// Spatial index over the agents the region owns (`None` for spaces
+    /// without one: relinks then scan the region's members).
+    index: Option<Box<dyn SpatialIndex<P>>>,
+    /// `(step, agent)` of every owned agent — the region's step bounds.
+    steps: BTreeSet<(u32, u32)>,
+}
+
 /// The derived-edge state of a [`DepGraph`] in [`EdgeMode::Maintained`].
-struct Edges<S: Space> {
-    /// Dynamic neighborhood index, when the space provides one.
-    index: Option<Box<dyn SpatialIndex<S::Pos>>>,
+struct Edges<P> {
+    map: Arc<dyn ShardMap<P>>,
+    regions: Vec<Region<P>>,
+    /// Current owning region per agent.
+    owner: Vec<u32>,
     /// Same-step coupling partners per agent, ascending by id.
     coupled: Vec<Vec<AgentId>>,
     /// Agents currently blocking each agent, ascending by id.
@@ -201,15 +233,203 @@ struct Edges<S: Space> {
     blockees: Vec<Vec<AgentId>>,
     /// Reused candidate buffer for index queries.
     scratch: Vec<u32>,
+    /// Reused buffer of the regions a relink visits.
+    near: Vec<usize>,
 }
+
+impl<P: Copy + PartialEq + std::fmt::Debug + 'static> Edges<P> {
+    fn new<S: Space<Pos = P>>(
+        space: &S,
+        params: RuleParams,
+        map: Arc<dyn ShardMap<P>>,
+        nodes: &[Node<P>],
+        owner: Vec<u32>,
+    ) -> Self {
+        let mut regions: Vec<Region<P>> = (0..map.num_shards())
+            .map(|_| Region {
+                index: space.make_index(params.coupling_units()),
+                steps: BTreeSet::new(),
+            })
+            .collect();
+        for (a, node) in nodes.iter().enumerate() {
+            let region = &mut regions[owner[a] as usize];
+            if let Some(idx) = region.index.as_mut() {
+                idx.insert(a as u32, node.pos);
+            }
+            region.steps.insert((node.step.0, a as u32));
+        }
+        let n = nodes.len();
+        Edges {
+            map,
+            regions,
+            owner,
+            coupled: vec![Vec::new(); n],
+            blockers: vec![Vec::new(); n],
+            blockees: vec![Vec::new(); n],
+            scratch: Vec::new(),
+            near: Vec::new(),
+        }
+    }
+
+    /// Moves `a`'s region state (owner, index entry, step entry) from its
+    /// pre-commit state `old` to `new`. Returns whether `a` crossed into
+    /// another region.
+    fn migrate(&mut self, a: AgentId, old: Node<P>, new: Node<P>) -> bool {
+        let from = self.owner[a.index()] as usize;
+        let to = self.map.shard_of(new.pos);
+        let removed = self.regions[from].steps.remove(&(old.step.0, a.0));
+        debug_assert!(removed, "agent {a} missing from region {from}");
+        self.regions[to].steps.insert((new.step.0, a.0));
+        if from == to {
+            if let Some(idx) = self.regions[from].index.as_mut() {
+                idx.update(a.0, old.pos, new.pos);
+            }
+            return false;
+        }
+        if let Some(idx) = self.regions[from].index.as_mut() {
+            idx.remove(a.0, old.pos);
+        }
+        if let Some(idx) = self.regions[to].index.as_mut() {
+            idx.insert(a.0, new.pos);
+        }
+        self.owner[a.index()] = to as u32;
+        true
+    }
+
+    /// Detaches every edge incident to `a` (both directions).
+    fn detach(&mut self, a: AgentId) {
+        for b in std::mem::take(&mut self.coupled[a.index()]) {
+            remove_sorted(&mut self.coupled[b.index()], a);
+        }
+        for b in std::mem::take(&mut self.blockers[a.index()]) {
+            remove_sorted(&mut self.blockees[b.index()], a);
+        }
+        for b in std::mem::take(&mut self.blockees[a.index()]) {
+            remove_sorted(&mut self.blockers[b.index()], a);
+        }
+    }
+
+    /// Links every edge incident to `a` from the current node states;
+    /// `(lo, hi)` are the global step bounds.
+    ///
+    /// With `forward_only`, only neighbors with a larger id are linked —
+    /// full rebuilds visit every agent, and each unordered pair must be
+    /// linked exactly once. Incremental callers pass `false` (and detach
+    /// `a` first); linking is idempotent, so both endpoints of an
+    /// intra-batch edge may link it.
+    fn relink<S: Space<Pos = P>>(
+        &mut self,
+        space: &S,
+        params: RuleParams,
+        nodes: &[Node<P>],
+        (lo, hi): (u32, u32),
+        a: AgentId,
+        forward_only: bool,
+    ) {
+        let node = nodes[a.index()];
+        let s = node.step.0;
+        let Edges {
+            map,
+            regions,
+            coupled,
+            blockers,
+            blockees,
+            scratch,
+            near,
+            ..
+        } = self;
+        near.clear();
+        let reach = params.blocking_units(s.abs_diff(lo).max(s.abs_diff(hi)));
+        map.shards_within(node.pos, reach, near);
+        for &j in near.iter() {
+            let region = &regions[j];
+            let (Some(&(rlo, _)), Some(&(rhi, _))) = (region.steps.first(), region.steps.last())
+            else {
+                continue; // empty region
+            };
+            // `a`'s largest step gap to any member of region `j` bounds
+            // every pair radius with a candidate there.
+            let units = params.blocking_units(s.abs_diff(rlo).max(s.abs_diff(rhi)));
+            if map.min_distance(node.pos, j) > units {
+                continue; // provably out of range of every member
+            }
+            scratch.clear();
+            match region.index.as_ref() {
+                Some(idx) => idx.query(node.pos, units, scratch),
+                None => scratch.extend(region.steps.iter().map(|&(_, b)| b)),
+            }
+            for &c in scratch.iter() {
+                if c == a.0 || (forward_only && c < a.0) {
+                    continue;
+                }
+                let b = AgentId(c);
+                let other = nodes[b.index()];
+                if other.step == node.step {
+                    if space.within_units(node.pos, other.pos, params.coupling_units()) {
+                        insert_sorted(&mut coupled[a.index()], b);
+                        insert_sorted(&mut coupled[b.index()], a);
+                    }
+                } else {
+                    // The lower-step agent blocks the higher-step one
+                    // inside the gap-widened radius.
+                    let (lo, hi) = if node.step < other.step {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let gap = node.step.abs_diff(other.step);
+                    if space.within_units(node.pos, other.pos, params.blocking_units(gap)) {
+                        insert_sorted(&mut blockers[hi.index()], lo);
+                        insert_sorted(&mut blockees[lo.index()], hi);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reused buffers of one commit. Every record value is encoded into one
+/// buffer that is copied once into shared storage and split, and so are
+/// the history keys: a commit allocates once, not twice per record.
+struct Staged<P> {
+    /// `(agent, target step, position)` per record.
+    updates: Vec<(AgentId, Step, P)>,
+    enc: BytesMut,
+    /// End offset of each record in `enc`.
+    ends: Vec<usize>,
+    /// Per history key in `enc`: the record it stores, or `None` to
+    /// delete it.
+    hist_plan: Vec<Option<u32>>,
+    /// `(agent, record)` writes.
+    records: Vec<(u32, Bytes)>,
+    /// History writes (`Some`) and deletes (`None`).
+    hist: Vec<(Key, Option<Bytes>)>,
+}
+
+impl<P> Default for Staged<P> {
+    fn default() -> Self {
+        Staged {
+            updates: Vec::new(),
+            enc: BytesMut::new(),
+            ends: Vec::new(),
+            hist_plan: Vec::new(),
+            records: Vec::new(),
+            hist: Vec::new(),
+        }
+    }
+}
+
+/// Bytes of a `dhst ‖ step ‖ agent` history key.
+const HIST_KEY_LEN: usize = 12;
 
 /// Store-backed node table plus incrementally maintained rule edges.
 ///
 /// The store holds only *nodes* (database writes per cluster advancement
 /// stay O(cluster size), as in the paper's worker transactions); the
 /// in-process mirror additionally maintains the derived blocked/coupled
-/// adjacency so controller queries are O(degree) — see the
-/// [module docs](self) for the maintenance invariant.
+/// adjacency, partitioned into regions, so controller queries are
+/// O(degree) — see the [module docs](self) for the maintenance invariant
+/// and the region pruning.
 pub struct DepGraph<S: Space> {
     space: Arc<S>,
     params: RuleParams,
@@ -221,20 +441,20 @@ pub struct DepGraph<S: Space> {
     keys: Vec<Key>,
     commits_key: Key,
     /// Maintained edge state, present in [`EdgeMode::Maintained`].
-    edges: Option<Edges<S>>,
-    /// Reused `(agent, encoded record)` buffer for transactions.
-    records: Vec<(u32, Bytes)>,
+    edges: Option<Edges<S::Pos>>,
     /// Whether per-step history records are written (see [`GraphOptions`]).
     history: bool,
-    /// Reused history write/delete buffer: `(key, Some(value))` writes,
-    /// `(key, None)` deletes.
-    hist_records: Vec<(Key, Option<Bytes>)>,
+    staged: Staged<S::Pos>,
+    /// Telemetry sink; when set, each commit's region migration and
+    /// relink are recorded as spans.
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<S: Space> std::fmt::Debug for DepGraph<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DepGraph")
             .field("agents", &self.nodes.len())
+            .field("regions", &self.edges.as_ref().map(|e| e.regions.len()))
             .field("min_step", &self.min_step())
             .field("params", &self.params)
             .finish()
@@ -295,24 +515,46 @@ impl<S: Space> DepGraph<S> {
         initial: &[S::Pos],
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let nodes: Vec<Node<S::Pos>> = initial
+        let map = space.make_regions(params.coupling_units());
+        Self::new_with_regions(space, params, db, initial, map, options)
+    }
+
+    /// [`DepGraph::new_with_options`] over an explicit region map instead
+    /// of the space's default one ([`Space::make_regions`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates database errors from the initial population transaction.
+    pub fn new_with_regions(
+        space: Arc<S>,
+        params: RuleParams,
+        db: Arc<Db>,
+        initial: &[S::Pos],
+        map: Arc<dyn ShardMap<S::Pos>>,
+        options: GraphOptions,
+    ) -> Result<Self, StoreError> {
+        let nodes = initial
             .iter()
             .map(|p| Node {
                 pos: *p,
                 step: Step::ZERO,
             })
             .collect();
-        let graph = Self::assemble(space, params, db, nodes, options);
+        let mut graph = Self::assemble(space, params, db, nodes, options, map, None)?;
+        graph.staged.updates = (0..graph.len())
+            .map(|i| (AgentId(i as u32), Step::ZERO, graph.nodes[i].pos))
+            .collect();
+        graph.encode_staged(false);
+        let (staged, keys, history) = (&graph.staged, &graph.keys, graph.history);
         graph.db.transaction(|txn| {
-            for (i, node) in graph.nodes.iter().enumerate() {
-                let value = graph.encode_node(node);
-                if graph.history {
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, 0, i as u32), value.clone());
-                }
-                txn.set_key(&graph.keys[i], value);
+            for (a, value) in &staged.records {
+                txn.set_key(&keys[*a as usize], value.clone());
+            }
+            for (key, value) in &staged.hist {
+                txn.set_key(key, value.clone().expect("initial history is written"));
             }
             txn.set_i64("dep:commits", 0);
-            if graph.history {
+            if history {
                 txn.set_i64(HIST_FLOOR_KEY, 0);
             }
             Ok(())
@@ -320,57 +562,65 @@ impl<S: Space> DepGraph<S> {
         Ok(graph)
     }
 
-    /// Builds the full in-process mirror (step index, spatial index,
-    /// adjacency) around an already-decided node table.
+    /// Builds the full in-process mirror (step index, regions, adjacency)
+    /// around an already-decided node table. `owner` is the recorded
+    /// region of every agent (derived from positions when `None`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Codec`] if `owner` disagrees with `map`.
     fn assemble(
         space: Arc<S>,
         params: RuleParams,
         db: Arc<Db>,
         nodes: Vec<Node<S::Pos>>,
         options: GraphOptions,
-    ) -> Self {
-        let n = nodes.len();
-        let step_index = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.step.0, i as u32))
-            .collect();
-        let keys = (0..n as u32)
-            .map(|a| Key::tagged_u32(AGENT_TAG, a))
-            .collect();
+        map: Arc<dyn ShardMap<S::Pos>>,
+        owner: Option<Vec<u32>>,
+    ) -> Result<Self, StoreError> {
         let edges = match options.edges {
             EdgeMode::Off => None,
             EdgeMode::Maintained => {
-                let mut index = space.make_index(params.coupling_units());
-                if let Some(idx) = index.as_mut() {
-                    for (i, node) in nodes.iter().enumerate() {
-                        idx.insert(i as u32, node.pos);
+                let derived: Vec<u32> = nodes.iter().map(|n| map.shard_of(n.pos) as u32).collect();
+                // Checked in release builds too: an owner that disagrees
+                // with the map's geometry would make the distance lower
+                // bound unsound for that agent and silently drop edges.
+                if let Some(owner) = owner.as_ref() {
+                    if let Some(a) = (0..nodes.len()).find(|&a| owner[a] != derived[a]) {
+                        return Err(StoreError::Codec(format!(
+                            "recorded shard membership disagrees with the shard map: \
+                             agent {a} at {:?} is owned by shard {} but the map places \
+                             it in shard {} — was the snapshot written under a \
+                             different ShardMap?",
+                            nodes[a].pos, owner[a], derived[a]
+                        )));
                     }
                 }
-                Some(Edges {
-                    index,
-                    coupled: vec![Vec::new(); n],
-                    blockers: vec![Vec::new(); n],
-                    blockees: vec![Vec::new(); n],
-                    scratch: Vec::new(),
-                })
+                Some(Edges::new(&*space, params, map, &nodes, derived))
             }
         };
+        let n = nodes.len();
         let mut graph = DepGraph {
+            step_index: nodes
+                .iter()
+                .enumerate()
+                .map(|(i, node)| (node.step.0, i as u32))
+                .collect(),
+            keys: (0..n as u32)
+                .map(|a| Key::tagged_u32(AGENT_TAG, a))
+                .collect(),
             space,
             params,
             db,
             nodes,
-            step_index,
-            keys,
             commits_key: Key::new("dep:commits"),
             edges,
-            records: Vec::new(),
             history: options.history,
-            hist_records: Vec::new(),
+            staged: Staged::default(),
+            telemetry: None,
         };
-        graph.rebuild_edges();
-        graph
+        graph.refresh_edges();
+        Ok(graph)
     }
 
     /// The edge maintenance mode in force.
@@ -382,15 +632,17 @@ impl<S: Space> DepGraph<S> {
         }
     }
 
-    fn edges(&self) -> &Edges<S> {
+    fn edges(&self) -> &Edges<S::Pos> {
         self.edges
             .as_ref()
             .expect("edge queries require EdgeMode::Maintained")
     }
 
-    /// Recomputes every blocked/coupled edge from scratch (initialisation
-    /// and recovery; steady-state maintenance is incremental).
-    fn rebuild_edges(&mut self) {
+    /// Rebuilds every blocked/coupled edge from the current node states
+    /// (initialisation and recovery; steady-state maintenance is
+    /// incremental). No-op in [`EdgeMode::Off`].
+    pub fn refresh_edges(&mut self) {
+        let bounds = (self.min_step().0, self.max_step().0);
         let Some(edges) = self.edges.as_mut() else {
             return;
         };
@@ -403,108 +655,14 @@ impl<S: Space> DepGraph<S> {
             list.clear();
         }
         for a in 0..self.nodes.len() as u32 {
-            self.relink(AgentId(a), true);
-        }
-    }
-
-    /// The widest rule radius relevant to `a` right now: the blocking
-    /// threshold at `a`'s largest possible step gap (which also covers the
-    /// coupling threshold, `blocking_units(0)`).
-    fn query_units(&self, step: Step) -> u64 {
-        let lo = self.min_step().0;
-        let hi = self.max_step().0;
-        let gap = (step.0 - lo.min(step.0)).max(hi.max(step.0) - step.0);
-        self.params.blocking_units(gap)
-    }
-
-    /// Rebuilds the edges incident to `a` from its current node state.
-    ///
-    /// With `forward_only`, only neighbors with a larger id are linked —
-    /// used by [`DepGraph::rebuild_edges`], where every agent is visited
-    /// and each unordered pair must be linked exactly once. Incremental
-    /// callers pass `false` (and detach `a` first). No-op in
-    /// [`EdgeMode::Off`].
-    fn relink(&mut self, a: AgentId, forward_only: bool) {
-        let Some(mut edges) = self.edges.take() else {
-            return;
-        };
-        let node = self.nodes[a.index()];
-        let units = self.query_units(node.step);
-        edges.scratch.clear();
-        let mut scratch = std::mem::take(&mut edges.scratch);
-        let candidates: &[u32] = match edges.index.as_ref() {
-            Some(idx) => {
-                idx.query(node.pos, units, &mut scratch);
-                &scratch
-            }
-            None => {
-                scratch.extend(0..self.nodes.len() as u32);
-                &scratch
-            }
-        };
-        for &c in candidates {
-            if c == a.0 || (forward_only && c < a.0) {
-                continue;
-            }
-            let b = AgentId(c);
-            let other = self.nodes[b.index()];
-            if other.step == node.step {
-                if self
-                    .space
-                    .within_units(node.pos, other.pos, self.params.coupling_units())
-                {
-                    insert_sorted(&mut edges.coupled[a.index()], b);
-                    insert_sorted(&mut edges.coupled[b.index()], a);
-                }
-            } else {
-                // The lower-step agent blocks the higher-step one inside
-                // the gap-widened radius.
-                let (lo, hi) = if node.step < other.step {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let gap = node.step.abs_diff(other.step);
-                if self
-                    .space
-                    .within_units(node.pos, other.pos, self.params.blocking_units(gap))
-                {
-                    insert_sorted(&mut edges.blockers[hi.index()], lo);
-                    insert_sorted(&mut edges.blockees[lo.index()], hi);
-                }
-            }
-        }
-        edges.scratch = scratch;
-        self.edges = Some(edges);
-    }
-
-    /// Applies one committed `(step, pos)` mirror update and tears down the
-    /// agent's incident edges; callers [`DepGraph::relink`] every updated
-    /// agent once the whole batch's node states are in place.
-    fn apply_node(&mut self, a: AgentId, step: Step, pos: S::Pos) {
-        let node = &mut self.nodes[a.index()];
-        let was = (node.step.0, a.0);
-        let removed = self.step_index.remove(&was);
-        debug_assert!(removed, "agent {a} missing from step index");
-        if let Some(edges) = self.edges.as_mut() {
-            if let Some(idx) = edges.index.as_mut() {
-                idx.update(a.0, node.pos, pos);
-            }
-        }
-        node.step = step;
-        node.pos = pos;
-        self.step_index.insert((step.0, a.0));
-        // Detach every edge incident to `a` (both directions).
-        if let Some(edges) = self.edges.as_mut() {
-            for b in std::mem::take(&mut edges.coupled[a.index()]) {
-                remove_sorted(&mut edges.coupled[b.index()], a);
-            }
-            for b in std::mem::take(&mut edges.blockers[a.index()]) {
-                remove_sorted(&mut edges.blockees[b.index()], a);
-            }
-            for b in std::mem::take(&mut edges.blockees[a.index()]) {
-                remove_sorted(&mut edges.blockers[b.index()], a);
-            }
+            edges.relink(
+                &*self.space,
+                self.params,
+                &self.nodes,
+                bounds,
+                AgentId(a),
+                true,
+            );
         }
     }
 
@@ -538,6 +696,27 @@ impl<S: Space> DepGraph<S> {
         num_agents: usize,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
+        let map = space.make_regions(params.coupling_units());
+        Self::recover_with_regions(space, params, db, num_agents, options, map, None)
+    }
+
+    /// [`DepGraph::recover_with_options`] over an explicit region map,
+    /// optionally with the recorded region of every agent, which must
+    /// agree with the map.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Codec`] if a record is missing or malformed,
+    /// or `owner` disagrees with `map`.
+    pub(crate) fn recover_with_regions(
+        space: Arc<S>,
+        params: RuleParams,
+        db: Arc<Db>,
+        num_agents: usize,
+        options: GraphOptions,
+        map: Arc<dyn ShardMap<S::Pos>>,
+        owner: Option<Vec<u32>>,
+    ) -> Result<Self, StoreError> {
         let mut nodes = Vec::with_capacity(num_agents);
         for i in 0..num_agents {
             let raw = db
@@ -548,14 +727,7 @@ impl<S: Space> DepGraph<S> {
             let pos = space.decode_pos(&mut rd)?;
             nodes.push(Node { pos, step });
         }
-        Ok(Self::assemble(space, params, db, nodes, options))
-    }
-
-    fn encode_node(&self, node: &Node<S::Pos>) -> Bytes {
-        let mut buf = BytesMut::new();
-        codec::put_u32(&mut buf, node.step.0);
-        self.space.encode_pos(node.pos, &mut buf);
-        buf.freeze()
+        Self::assemble(space, params, db, nodes, options, map, owner)
     }
 
     /// Number of agents.
@@ -596,8 +768,7 @@ impl<S: Space> DepGraph<S> {
     /// The lowest step any agent is at — the paper's `base_step`.
     pub fn min_step(&self) -> Step {
         self.step_index
-            .iter()
-            .next()
+            .first()
             .map(|(s, _)| Step(*s))
             .unwrap_or(Step::ZERO)
     }
@@ -606,10 +777,49 @@ impl<S: Space> DepGraph<S> {
     /// current step skew, O(log n) from the step index.
     pub fn max_step(&self) -> Step {
         self.step_index
-            .iter()
-            .next_back()
+            .last()
             .map(|(s, _)| Step(*s))
             .unwrap_or(Step::ZERO)
+    }
+
+    /// Number of regions (shards) the maintained edge state is split into.
+    ///
+    /// # Panics
+    ///
+    /// Panics in [`EdgeMode::Off`].
+    pub fn num_shards(&self) -> usize {
+        self.edges().regions.len()
+    }
+
+    /// The region currently owning `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in [`EdgeMode::Off`].
+    pub fn shard_of_agent(&self, a: AgentId) -> usize {
+        self.edges().owner[a.index()] as usize
+    }
+
+    /// Member agents of region `shard`, ascending by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics in [`EdgeMode::Off`].
+    pub fn members(&self, shard: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = self.edges().regions[shard]
+            .steps
+            .iter()
+            .map(|&(_, a)| a)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Attaches a telemetry sink: every commit's region migration and
+    /// relink on the advance/rollback path is recorded as a span (with
+    /// agent and region-crossing counts) plus the matching counters.
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.telemetry = Some(telemetry);
     }
 
     /// Advances every `(agent, new_position)` in `updates` by one step, as
@@ -624,72 +834,13 @@ impl<S: Space> DepGraph<S> {
     ///
     /// Panics if an agent id is out of range.
     pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        // Encode the records outside the closure: retries must be
-        // idempotent and the mirror untouched until commit. The buffer,
-        // keys, and values are all reused/refcounted — the loop allocates
-        // once per record for the encoded value and nothing else.
-        let mut records = std::mem::take(&mut self.records);
-        records.clear();
-        records.extend(updates.iter().map(|(a, pos)| {
-            let node = Node {
-                pos: *pos,
-                step: self.nodes[a.index()].step.next(),
-            };
-            (a.0, self.encode_node(&node))
-        }));
-        let result = if self.history {
-            // History rides in the same transaction: the step's record and
-            // its immutable history entry commit or retry together. This
-            // arm is deliberately separate from the history-off one below
-            // so runs without history keep the lean original closure on
-            // their per-commit hot path.
-            let mut hist = std::mem::take(&mut self.hist_records);
-            hist.clear();
-            hist.extend(updates.iter().zip(&records).map(|((a, _), (_, value))| {
-                let step = self.nodes[a.index()].step.next();
-                (
-                    Key::tagged_u32_pair(HIST_TAG, step.0, a.0),
-                    Some(value.clone()),
-                )
-            }));
-            let keys = &self.keys;
-            let commits_key = &self.commits_key;
-            let r = self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
-                }
-                for (key, value) in &hist {
-                    match value {
-                        Some(v) => txn.set_key(key, v.clone()),
-                        None => txn.del(key),
-                    }
-                }
-                bump_commit_counter(txn, commits_key)
-            });
-            hist.clear();
-            self.hist_records = hist;
-            r
-        } else {
-            let keys = &self.keys;
-            let commits_key = &self.commits_key;
-            self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
-                }
-                bump_commit_counter(txn, commits_key)
-            })
-        };
-        records.clear();
-        self.records = records;
-        result?;
-        for &(a, pos) in updates {
-            let next = self.nodes[a.index()].step.next();
-            self.apply_node(a, next, pos);
-        }
-        for &(a, _) in updates {
-            self.relink(a, false);
-        }
-        Ok(())
+        self.staged.updates.clear();
+        self.staged.updates.extend(
+            updates
+                .iter()
+                .map(|&(a, pos)| (a, self.nodes[a.index()].step.next(), pos)),
+        );
+        self.commit_staged(true)
     }
 
     /// Rolls every `(agent, step, position)` in `updates` back to an
@@ -709,65 +860,121 @@ impl<S: Space> DepGraph<S> {
     /// Panics if an agent id is out of range or a target step is *ahead*
     /// of the agent's current step (rollback must rewind, not advance).
     pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        let mut records = std::mem::take(&mut self.records);
-        records.clear();
-        records.extend(updates.iter().map(|(a, step, pos)| {
+        for (a, step, _) in updates {
             assert!(
                 *step <= self.nodes[a.index()].step,
                 "rollback of {a} to {step} is ahead of current {}",
                 self.nodes[a.index()].step
             );
-            (
-                a.0,
-                self.encode_node(&Node {
-                    pos: *pos,
-                    step: *step,
-                }),
-            )
-        }));
-        let mut hist = std::mem::take(&mut self.hist_records);
-        hist.clear();
+        }
+        self.staged.updates.clear();
+        self.staged.updates.extend_from_slice(updates);
+        self.commit_staged(false)
+    }
+
+    /// Encodes the staged updates into record values and, with history
+    /// on, history writes — one history record per update, plus (with
+    /// `squash`) a delete of every history record the rollback discards,
+    /// so history only ever describes committed, non-squashed state.
+    fn encode_staged(&mut self, squash: bool) {
+        let st = &mut self.staged;
+        st.enc.clear();
+        st.ends.clear();
+        for &(_, step, pos) in &st.updates {
+            codec::put_u32(&mut st.enc, step.0);
+            self.space.encode_pos(pos, &mut st.enc);
+            st.ends.push(st.enc.len());
+        }
+        let keys_at = st.enc.len();
+        st.hist_plan.clear();
         if self.history {
-            // A squash rewrites history: the target step's record is
-            // replaced (its position may differ from the first visit) and
-            // every discarded future step's record is deleted, so history
-            // only ever describes committed, non-squashed state.
-            for ((a, step, _), (_, value)) in updates.iter().zip(&records) {
-                hist.push((
-                    Key::tagged_u32_pair(HIST_TAG, step.0, a.0),
-                    Some(value.clone()),
-                ));
-                for squashed in (step.0 + 1)..=self.nodes[a.index()].step.0 {
-                    hist.push((Key::tagged_u32_pair(HIST_TAG, squashed, a.0), None));
+            let push_key = |enc: &mut BytesMut, step: u32, a: u32| {
+                enc.extend_from_slice(&HIST_TAG);
+                codec::put_u32(enc, step);
+                codec::put_u32(enc, a);
+            };
+            for (i, &(a, step, _)) in st.updates.iter().enumerate() {
+                push_key(&mut st.enc, step.0, a.0);
+                st.hist_plan.push(Some(i as u32));
+                if squash {
+                    for discarded in (step.0 + 1)..=self.nodes[a.index()].step.0 {
+                        push_key(&mut st.enc, discarded, a.0);
+                        st.hist_plan.push(None);
+                    }
                 }
             }
         }
-        let result = {
-            let keys = &self.keys;
-            self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
+        let buf = Bytes::copy_from_slice(&st.enc);
+        st.records.clear();
+        let mut start = 0;
+        for (&(a, _, _), &end) in st.updates.iter().zip(&st.ends) {
+            st.records.push((a.0, buf.slice(start..end)));
+            start = end;
+        }
+        st.hist.clear();
+        for (k, plan) in st.hist_plan.iter().enumerate() {
+            let at = keys_at + k * HIST_KEY_LEN;
+            let value = plan.map(|i| st.records[i as usize].1.clone());
+            st.hist
+                .push((Key::new(buf.slice(at..at + HIST_KEY_LEN)), value));
+        }
+    }
+
+    /// Commits the staged updates as one transaction (bumping the commit
+    /// counter for an advance), then applies them to the mirror: node
+    /// states and region ownership first, then a relink of every updated
+    /// agent.
+    fn commit_staged(&mut self, advance: bool) -> Result<(), StoreError> {
+        self.encode_staged(!advance);
+        let (staged, keys, commits_key) = (&self.staged, &self.keys, &self.commits_key);
+        self.db.transaction(|txn| {
+            for (a, value) in &staged.records {
+                txn.set_key(&keys[*a as usize], value.clone());
+            }
+            for (key, value) in &staged.hist {
+                match value {
+                    Some(v) => txn.set_key(key, v.clone()),
+                    None => txn.del(key),
                 }
-                for (key, value) in &hist {
-                    match value {
-                        Some(v) => txn.set_key(key, v.clone()),
-                        None => txn.del(key),
-                    }
-                }
+            }
+            if advance {
+                bump_commit_counter(txn, commits_key)
+            } else {
                 Ok(())
-            })
-        };
-        records.clear();
-        self.records = records;
-        hist.clear();
-        self.hist_records = hist;
-        result?;
-        for &(a, step, pos) in updates {
-            self.apply_node(a, step, pos);
+            }
+        })?;
+        let updates = std::mem::take(&mut self.staged.updates);
+        let agents = updates.len() as u32;
+        let migrate_t0 = self.telemetry.as_ref().and_then(|t| t.start());
+        let mut crossings = 0u32;
+        for &(a, step, pos) in &updates {
+            let node = &mut self.nodes[a.index()];
+            let old = *node;
+            let removed = self.step_index.remove(&(old.step.0, a.0));
+            debug_assert!(removed, "agent {a} missing from step index");
+            *node = Node { pos, step };
+            self.step_index.insert((step.0, a.0));
+            if let Some(edges) = self.edges.as_mut() {
+                edges.detach(a);
+                crossings += u32::from(edges.migrate(a, old, *node));
+            }
         }
-        for &(a, _, _) in updates {
-            self.relink(a, false);
+        if let (Some(t), Some(t0)) = (&self.telemetry, migrate_t0) {
+            t.counter_add(Counter::ShardMigrations, u64::from(crossings));
+            t.record(t0, SpanKind::Migrate { agents, crossings });
         }
+        let bounds = (self.min_step().0, self.max_step().0);
+        let relink_t0 = self.telemetry.as_ref().and_then(|t| t.start());
+        if let Some(edges) = self.edges.as_mut() {
+            for &(a, _, _) in &updates {
+                edges.relink(&*self.space, self.params, &self.nodes, bounds, a, false);
+            }
+        }
+        if let (Some(t), Some(t0)) = (&self.telemetry, relink_t0) {
+            t.counter_add(Counter::RelinkBatches, 1);
+            t.record(t0, SpanKind::Relink { agents, workers: 1 });
+        }
+        self.staged.updates = updates;
         Ok(())
     }
 
@@ -921,6 +1128,33 @@ impl<S: Space> DepGraph<S> {
             .range((step.0, 0u32)..(step.0 + 1, 0u32))
             .map(|&(_, b)| AgentId(b))
             .collect()
+    }
+
+    /// Debug cross-check of the region state against first principles:
+    /// ownership matches the region map and step bounds match the node
+    /// table. Used by the property tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first inconsistency, or in [`EdgeMode::Off`].
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let edges = self.edges();
+        let mut total = 0;
+        for (j, region) in edges.regions.iter().enumerate() {
+            total += region.steps.len();
+            for &(s, a) in &region.steps {
+                let node = self.nodes[a as usize];
+                assert_eq!(edges.owner[a as usize] as usize, j, "ownership drift");
+                assert_eq!(node.step.0, s, "stale region step bound");
+                assert_eq!(
+                    edges.map.shard_of(node.pos),
+                    j,
+                    "agent {a} owned by the wrong region"
+                );
+            }
+        }
+        assert_eq!(total, self.len(), "region membership must partition agents");
     }
 
     /// Verifies the §3.2 validity condition over the whole graph.

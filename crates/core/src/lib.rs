@@ -43,14 +43,14 @@
 //! re-checked with [`space::Space::within_units`], so spatial indexing
 //! can never flip a scheduling decision, only make it cheaper.
 //!
-//! Past 10k agents, [`shard`] partitions the tracker itself:
-//! [`shard::ShardedDepGraph`] owns agents by spatial region (strips,
-//! rebalanced on migration), keeps per-shard indexes and *step bounds*,
-//! prunes relink queries with them — a spatially local straggler no
-//! longer inflates every query radius on the map — and relinks large
-//! batches in parallel across shards. The [`scheduler::Scheduler`] is
-//! generic over its [`depgraph::DepTracker`], so both trackers drive
-//! the same state machine and executors unchanged.
+//! The tracker is partitioned itself: [`depgraph::DepGraph`] owns
+//! agents by spatial region (the space's default strips, or an explicit
+//! [`shard::ShardMap`] through [`shard::ShardedDepGraph`]), rebalanced on
+//! migration, and keeps per-region indexes and *step bounds* that prune
+//! relink queries — a spatially local straggler no longer inflates every
+//! query radius on the map. The [`scheduler::Scheduler`] is generic over
+//! its [`depgraph::DepTracker`], so every tracker drives the same state
+//! machine and executors unchanged.
 //!
 //! # Quick start
 //!

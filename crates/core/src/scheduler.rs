@@ -96,11 +96,12 @@ pub struct SchedStats {
 /// # Ok(())
 /// # }
 /// ```
-/// The scheduler is generic over its dependency tracker `G` — the
-/// single-shard [`DepGraph`] by default, or a
-/// [`ShardedDepGraph`](crate::shard::ShardedDepGraph) for 10k+-agent
-/// worlds (built via [`Scheduler::from_graph`]); the state machine is
-/// identical either way.
+/// The scheduler is generic over its dependency tracker `G` — a
+/// [`DepGraph`] over the space's default regions by default, or any
+/// other [`DepTracker`], such as a
+/// [`ShardedDepGraph`](crate::shard::ShardedDepGraph) over an explicit
+/// shard map or a [`DistTracker`](crate::dist::DistTracker) (mounted via
+/// [`Scheduler::from_graph`]); the state machine is identical either way.
 pub struct Scheduler<S: Space, G: DepTracker<S> = DepGraph<S>> {
     graph: G,
     policy: DependencyPolicy,

@@ -22,12 +22,12 @@
 //! scheduling decision.
 
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
-use aim_store::{codec, StoreError};
+use aim_store::{codec, FastBuildHasher, StoreError};
 
 /// A position on a 2-D integer grid.
 #[derive(
@@ -138,6 +138,170 @@ pub trait Space: Send + Sync + 'static {
     fn make_index(&self, cell_units: u64) -> Option<Box<dyn SpatialIndex<Self::Pos>>> {
         let _ = cell_units;
         None
+    }
+
+    /// The regions [`crate::depgraph::DepGraph`] partitions its agents
+    /// into by default (each with its own index and step bounds, so a
+    /// relink can skip regions out of reach), for rule radii of at least
+    /// `cell_units`. The default is [`OneRegion`]: one region holding
+    /// everything, which is plain unpartitioned edge maintenance.
+    fn make_regions(&self, cell_units: u64) -> Arc<dyn ShardMap<Self::Pos>> {
+        let _ = cell_units;
+        Arc::new(OneRegion)
+    }
+}
+
+/// Assigns positions to regions (shards) and bounds distances to them —
+/// the geometry behind [`crate::depgraph::DepGraph`]'s region pruning.
+///
+/// Implementations must keep [`ShardMap::min_distance`] a **lower bound**
+/// on the true distance from a position to anything the shard can own;
+/// the tracker prunes a shard only when that lower bound exceeds the
+/// pair-rule radius, so an over-estimate would silently drop edges (see
+/// [`crate::shard`] for the full exactness argument).
+pub trait ShardMap<P: Copy>: Send + Sync + fmt::Debug {
+    /// Number of shards (≥ 1).
+    fn num_shards(&self) -> usize;
+
+    /// The shard owning `pos`. Must be `< num_shards()` for every
+    /// representable position.
+    fn shard_of(&self, pos: P) -> usize;
+
+    /// A lower bound on `dist(pos, q)` over every position `q` with
+    /// `shard_of(q) == shard`; `0` when `pos` lies in (or the bound
+    /// cannot exclude) the shard's region.
+    fn min_distance(&self, pos: P, shard: usize) -> u64;
+
+    /// Appends to `out`, ascending, a superset of the shards `j` with
+    /// `min_distance(pos, j) <= units`. The default tests every shard;
+    /// maps that can enumerate a neighborhood directly override it, so
+    /// a relink's cost does not grow with the number of shards.
+    fn shards_within(&self, pos: P, units: u64, out: &mut Vec<usize>) {
+        out.extend((0..self.num_shards()).filter(|&j| self.min_distance(pos, j) <= units));
+    }
+}
+
+/// The trivial [`ShardMap`]: one region owning every position.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OneRegion;
+
+impl<P: Copy> ShardMap<P> for OneRegion {
+    fn num_shards(&self) -> usize {
+        1
+    }
+
+    fn shard_of(&self, _: P) -> usize {
+        0
+    }
+
+    fn min_distance(&self, _: P, _: usize) -> u64 {
+        0
+    }
+}
+
+/// Width of [`GridSpace`]'s default region strips, in multiples of the
+/// coupling radius (10 × 5 = 50 columns under the GenAgent rules). Strips
+/// must be wide enough that an in-step relink queries one or two of them,
+/// and narrow enough that a straggler's widened radius stays local. On
+/// the replay workloads 25-, 50- and 100-column strips ran within each
+/// other's run-to-run spread; 50 is the middle of that range.
+const REGION_STRIP_CELLS: u64 = 10;
+
+/// Vertical-strip sharding of the 2-D grid: shard `j` owns the
+/// half-open x-band `[j·strip, (j+1)·strip)` (the last strip extends to
+/// +∞, the first to −∞, so every `i32` position is owned).
+///
+/// Strips suit street-grid cities whose extent grows east (concatenated
+/// villes, district columns); the x-distance to a strip is an exact lower
+/// bound on the Euclidean distance to anything inside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StripShardMap {
+    /// Strip width in grid units (≥ 1).
+    strip: i64,
+    /// Number of strips (≥ 1).
+    shards: usize,
+}
+
+impl StripShardMap {
+    /// Divides a world `width` columns wide into `shards` equal strips
+    /// (the last strip absorbs the remainder and everything beyond the
+    /// advisory width).
+    ///
+    /// The effective shard count is clamped to `max(width, 1)`: with
+    /// more shards than columns, strips would degenerate to width 1 and
+    /// every shard at index `>= width` would own an empty half-open
+    /// band that [`StripShardMap::shard_of`]'s clamp can never assign —
+    /// yet [`StripShardMap::min_distance`] would keep bounding distances
+    /// to those phantom regions as if they were real, and every consumer
+    /// sizing per-shard state off [`ShardMap::num_shards`] (the tracker,
+    /// checkpoint member sections, the distributed workers) would carry
+    /// permanently empty shards. Clamping keeps `num_shards()` the single
+    /// source of truth: every reported shard owns a non-empty strip of at
+    /// least one column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn new(width: u32, shards: usize) -> Self {
+        assert!(shards > 0, "at least one shard is required");
+        let shards = shards.min(width.max(1) as usize);
+        let strip = (width as i64 / shards as i64).max(1);
+        StripShardMap { strip, shards }
+    }
+
+    /// Cuts a world `width` columns wide into strips exactly `strip`
+    /// columns wide (at least one strip; the last may be narrower within
+    /// the advisory width, and still extends to +∞).
+    pub fn with_strip_width(width: u32, strip: u32) -> Self {
+        let strip = strip.max(1);
+        StripShardMap {
+            strip: strip as i64,
+            shards: width.div_ceil(strip).max(1) as usize,
+        }
+    }
+
+    /// Strip width in grid units.
+    pub fn strip_width(&self) -> u32 {
+        self.strip as u32
+    }
+
+    fn strip_of(&self, x: i64) -> usize {
+        x.div_euclid(self.strip).clamp(0, self.shards as i64 - 1) as usize
+    }
+}
+
+impl ShardMap<Point> for StripShardMap {
+    fn num_shards(&self) -> usize {
+        self.shards
+    }
+
+    fn shard_of(&self, pos: Point) -> usize {
+        self.strip_of(pos.x as i64)
+    }
+
+    fn min_distance(&self, pos: Point, shard: usize) -> u64 {
+        let x = pos.x as i64;
+        // Strip j owns [lo, hi) — except that the first strip extends to
+        // −∞ and the last to +∞ (every position is owned), so only the
+        // boundaries facing *other* strips bound the distance. A 1-shard
+        // map therefore owns everything and the bound is always 0.
+        let lo = shard as i64 * self.strip;
+        let hi = lo + self.strip;
+        let below = if shard == 0 { 0 } else { (lo - x).max(0) };
+        let above = if shard == self.shards - 1 {
+            0
+        } else {
+            (x - hi + 1).max(0)
+        };
+        below.max(above) as u64
+    }
+
+    /// The strips meeting the x-band `[x − units, x + units]`: any strip
+    /// within `units` of `pos` meets it, and strip ids grow with x.
+    fn shards_within(&self, pos: Point, units: u64, out: &mut Vec<usize>) {
+        let x = pos.x as i64;
+        let r = i64::try_from(units).unwrap_or(i64::MAX);
+        out.extend(self.strip_of(x.saturating_sub(r))..=self.strip_of(x.saturating_add(r)));
     }
 }
 
@@ -291,6 +455,16 @@ impl Space for GridSpace {
     fn make_index(&self, cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
         Some(Box::new(UniformGrid::new(cell_units)))
     }
+
+    /// Strips ten coupling radii wide (50 columns under the GenAgent
+    /// rules) across the grid's width.
+    fn make_regions(&self, cell_units: u64) -> Arc<dyn ShardMap<Point>> {
+        let strip = cell_units.saturating_mul(REGION_STRIP_CELLS);
+        Arc::new(StripShardMap::with_strip_width(
+            self.width,
+            u32::try_from(strip).unwrap_or(u32::MAX),
+        ))
+    }
 }
 
 /// Cell-coordinate math shared by the static pair search and the dynamic
@@ -362,38 +536,21 @@ pub trait SpatialIndex<P>: Send + Sync + fmt::Debug {
     fn query(&self, center: P, units: u64, out: &mut Vec<u32>);
 }
 
-/// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`]: one
-/// multiply by a 64-bit golden-ratio constant plus a finishing xor-shift,
-/// ~5 ns per lookup versus ~25 ns for the default SipHash (the difference
-/// is the bulk of the old `pairs_within` cost at 1000 agents).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CellKeyHasher(u64);
+type CellMap = std::collections::HashMap<u64, Vec<u32>, FastBuildHasher>;
 
-impl Hasher for CellKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type CellMap = std::collections::HashMap<u64, Vec<u32>, BuildHasherDefault<CellKeyHasher>>;
+/// Cell lookups a [`UniformGrid`] query may spend per tracked point
+/// before enumerating every point instead: looking up an (often empty)
+/// cell costs about half as much as enumerating a point and re-checking
+/// it (measured on the `depgraph` and `shard` benches).
+const RING_PER_POINT: u128 = 2;
 
 /// The dynamic uniform-grid index behind [`GridSpace::make_index`]:
 /// `units`-sized cells in a hash map keyed by packed cell coordinates.
 ///
 /// `insert`/`update` are O(1) amortized; `query` visits the
 /// `⌈units/cell⌉`-ring neighborhood of the center cell, falling back to
-/// enumerating every tracked id when the ring would visit more cells than
-/// there are points (e.g. a blocking radius inflated by a huge step skew).
+/// enumerating every tracked id when the ring would visit more than two
+/// cells per point (e.g. a blocking radius inflated by a huge step skew).
 #[derive(Debug)]
 pub struct UniformGrid {
     cell: i64,
@@ -472,9 +629,9 @@ impl SpatialIndex<Point> for UniformGrid {
             (units as i64 + self.cell - 1) / self.cell
         };
         let side = rings.saturating_mul(2).saturating_add(1);
-        if side.saturating_mul(side) as u128 >= self.len as u128 {
+        if side.saturating_mul(side) as u128 >= RING_PER_POINT * self.len as u128 {
             // Scanning every cell in the ring would cost more than just
-            // enumerating the population.
+            // enumerating the population (and re-checking every point).
             for bucket in self.buckets.values() {
                 out.extend_from_slice(bucket);
             }
@@ -788,6 +945,23 @@ mod tests {
     fn social_space_has_no_index() {
         let s = SocialSpace::new(2, &[(0, 1)]);
         assert!(s.make_index(5).is_none());
+        assert_eq!(
+            s.make_regions(5).num_shards(),
+            1,
+            "one region without a partition"
+        );
+    }
+
+    #[test]
+    fn grid_regions_are_fixed_width_strips() {
+        // Strip width follows the rule radius, not the map: a wider map
+        // gets more strips of the same width.
+        for (width, strips) in [(100, 2), (2_000, 40), (4_000, 80)] {
+            let regions = GridSpace::new(width, 140).make_regions(5);
+            assert_eq!(regions.num_shards(), strips, "width {width}");
+            assert_eq!(regions.shard_of(Point::new(49, 0)), 0);
+            assert_eq!(regions.shard_of(Point::new(50, 0)), 1);
+        }
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Property tests for sharded dependency tracking: a [`ShardedDepGraph`]
 //! driven by arbitrary advance/rollback/evict/migration sequences must
 //! look **identical** — nodes, blocked edges, coupled edges, step
-//! extremes, blocker order — to a single-shard [`DepGraph`] fed the same
-//! operations. The strips are kept narrow relative to the move
-//! distribution, so agents constantly cross shard boundaries (including
-//! while coupled, the boundary-edge protocol's hard case), and the
-//! sharded tracker's internal invariants (ownership = shard map, step
-//! bounds = node table) are re-checked after every operation.
+//! extremes, blocker order — to a one-region [`DepGraph`] (no pruning at
+//! all) fed the same operations. The strips are kept narrow relative to
+//! the move distribution, so agents constantly cross shard boundaries
+//! (including while coupled, the boundary-edge protocol's hard case), and
+//! the sharded tracker's internal invariants (ownership = shard map, step
+//! bounds = node table) are re-checked after every operation. A last
+//! property checks the default-region [`DepGraph`] against the pairwise
+//! §3.2 rules themselves, under step skews wider than two strips.
 
 use std::sync::Arc;
 
 use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions};
 use aim_core::prelude::*;
+use aim_core::rules;
 use aim_core::shard::{ShardedDepGraph, StripShardMap};
-use aim_core::space::{GridSpace, Point};
+use aim_core::space::{GridSpace, OneRegion, Point};
 use aim_store::Db;
 use proptest::prelude::*;
 
@@ -24,6 +27,20 @@ fn options() -> GraphOptions {
         edges: EdgeMode::Maintained,
         history: true,
     }
+}
+
+/// The pruning-free reference: every agent in one region, so every
+/// relink queries one index at the global-skew radius.
+fn one_region(space: Arc<GridSpace>, params: RuleParams, initial: &[Point]) -> DepGraph<GridSpace> {
+    DepGraph::new_with_regions(
+        space,
+        params,
+        Arc::new(Db::new()),
+        initial,
+        Arc::new(OneRegion),
+        options(),
+    )
+    .unwrap()
 }
 
 fn build_pair(
@@ -42,9 +59,7 @@ fn build_pair(
         options(),
     )
     .unwrap();
-    let single =
-        DepGraph::new_with_options(space, params, Arc::new(Db::new()), &initial, options())
-            .unwrap();
+    let single = one_region(space, params, &initial);
     (sharded, single)
 }
 
@@ -67,6 +82,28 @@ fn assert_equivalent(sharded: &ShardedDepGraph<GridSpace>, single: &DepGraph<Gri
     }
     assert_eq!(sharded.history_records(), single.history_records());
     assert_eq!(sharded.history_floor(), single.history_floor());
+}
+
+/// `(blocked, coupled)` edges of `g`'s current states, pair by pair from
+/// the §3.2 rules alone — no index, no regions.
+fn pairwise_edges(g: &DepGraph<GridSpace>) -> (Vec<(AgentId, AgentId)>, Vec<(AgentId, AgentId)>) {
+    let (space, params) = (g.space().as_ref(), g.params());
+    let mut blocked = Vec::new();
+    let mut coupled = Vec::new();
+    for a in (0..g.len() as u32).map(AgentId) {
+        for b in (0..g.len() as u32).map(AgentId) {
+            let (sa, sb) = ((g.pos(a), g.step(a)), (g.pos(b), g.step(b)));
+            if sb.1 < sa.1 && rules::blocked_by(space, params, sa, sb) {
+                blocked.push((b, a));
+            }
+            if a < b && rules::coupled(space, params, sa, sb) {
+                coupled.push((a, b));
+            }
+        }
+    }
+    blocked.sort_unstable();
+    coupled.sort_unstable();
+    (blocked, coupled)
 }
 
 proptest! {
@@ -114,8 +151,7 @@ proptest! {
 
     /// Cluster-sized batch advances — coupled groups committing together,
     /// members scattered across (and crossing) shard boundaries — keep
-    /// the trackers identical, through both the serial and the forced-
-    /// parallel relink paths.
+    /// the trackers identical.
     #[test]
     fn batch_commits_cross_boundaries_exactly(
         points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 4..12),
@@ -124,17 +160,9 @@ proptest! {
             proptest::collection::vec((any::<u16>(), -5i32..6, -3i32..4), 1..5),
             1..20
         ),
-        parallel in any::<bool>(),
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
         let (mut sharded, mut single) = build_pair(&points, params, shards);
-        if parallel {
-            // Forcing >1 worker exercises the parallel compute/apply
-            // split even though these batches are below the automatic
-            // threshold (the threshold only gates the *decision*, not
-            // correctness).
-            sharded.set_relink_threads(2);
-        }
         for batch in batches {
             let mut updates: Vec<(AgentId, Point)> = Vec::new();
             for (pick, dx, dy) in batch {
@@ -176,14 +204,7 @@ proptest! {
             options(),
         )
         .unwrap();
-        let mut single = DepGraph::new_with_options(
-            space,
-            params,
-            Arc::new(Db::new()),
-            &initial,
-            options(),
-        )
-        .unwrap();
+        let mut single = one_region(space, params, &initial);
         for (pick, dx, dy) in ops {
             let a = AgentId(pick as u32 % sharded.len() as u32);
             let cur = sharded.pos(a);
@@ -246,6 +267,61 @@ proptest! {
         seeded.check_invariants();
         for j in 0..shards {
             prop_assert_eq!(g.members(j), seeded.members(j));
+        }
+    }
+
+    /// The default-region graph (strips of `Space::make_regions`) equals
+    /// the pairwise rules after every operation: batch advances whose
+    /// members jump across strips inside one commit, sprints that run one
+    /// agent far enough ahead that the skew radius spans more than two
+    /// strips, and legal rollbacks.
+    #[test]
+    fn default_regions_equal_pairwise_rules(
+        points in proptest::collection::vec((0i32..240, 0i32..24), 3..12),
+        ops in proptest::collection::vec(
+            (
+                proptest::collection::vec((any::<u16>(), -40i32..41, -3i32..4), 1..4),
+                0u8..10,
+                0u32..60,
+            ),
+            1..25
+        ),
+        params in (1u32..3, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
+    ) {
+        let space = Arc::new(GridSpace::new(240, 24));
+        let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let mut g = DepGraph::new_with_options(
+            space, params, Arc::new(Db::new()), &initial, options(),
+        )
+        .unwrap();
+        prop_assert!(g.num_shards() > 4, "the map must be cut into several strips");
+        for (batch, kind, sprint) in ops {
+            let mut updates: Vec<(AgentId, Point)> = Vec::new();
+            for (pick, dx, dy) in batch {
+                let a = AgentId(pick as u32 % g.len() as u32);
+                if updates.iter().all(|(x, _)| *x != a) {
+                    let cur = g.pos(a);
+                    updates.push((a, Point::new(cur.x + dx, cur.y + dy)));
+                }
+            }
+            let a = updates[0].0;
+            if kind < 6 || g.step(a) == Step::ZERO {
+                g.advance(&updates).unwrap();
+            } else if kind < 8 {
+                for _ in 0..sprint {
+                    g.advance(&[(a, g.pos(a))]).unwrap();
+                }
+            } else {
+                let lo = g.min_step().0;
+                let target = Step(lo + sprint % (g.step(a).0 - lo + 1));
+                g.rollback(&[(a, target, updates[0].1)]).unwrap();
+            }
+            g.check_invariants();
+            let snap = g.snapshot();
+            let (mut blocked, mut coupled) = (snap.blocked, snap.coupled);
+            blocked.sort_unstable();
+            coupled.sort_unstable();
+            prop_assert_eq!((blocked, coupled), pairwise_edges(&g));
         }
     }
 }

@@ -753,6 +753,18 @@ impl FleetInner {
     /// never called, so no state exists to duplicate.
     fn attempt(&self, id: usize, req: &LlmRequest, hedge: bool) -> Option<LlmResponse> {
         let replica = &self.replicas[id];
+        // Claim an attempt index, unless the replica already failed
+        // permanently: a route decided on a view taken before the failure
+        // can still pick it, and that is no attempt at all — the caller
+        // routes again. So a `fail_after(n)` replica fails exactly once,
+        // however many callers race its failure.
+        let fail_after = replica.fault.fail_after;
+        let attempt = replica
+            .attempts
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                (!fail_after.is_some_and(|n| a > n)).then_some(a + 1)
+            })
+            .ok()?;
         let observer = if self.observed.load(Ordering::Acquire) {
             self.observer.read().clone()
         } else {
@@ -767,7 +779,6 @@ impl FleetInner {
             }
         };
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
-        let attempt = replica.attempts.fetch_add(1, Ordering::Relaxed);
         let extra_latency_us = match replica.fault.outcome(attempt, tick) {
             FaultOutcome::Fail => {
                 replica.down.store(true, Ordering::Relaxed);

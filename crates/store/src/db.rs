@@ -1,12 +1,13 @@
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::error::StoreError;
+use crate::hash::FastBuildHasher;
 use crate::txn::{self, Txn};
 
 /// Number of independent shards; a power of two so the shard index is a
@@ -27,7 +28,7 @@ pub(crate) struct Entry {
 
 #[derive(Debug, Default)]
 pub(crate) struct ShardInner {
-    pub(crate) map: HashMap<Bytes, Entry>,
+    pub(crate) map: HashMap<Bytes, Entry, FastBuildHasher>,
     /// Next version to hand out in this shard. Starts at 1 so that version 0
     /// never appears and can be reserved for "absent" in validation logic.
     pub(crate) next_version: u64,
@@ -116,10 +117,13 @@ impl Db {
         }
     }
 
+    /// The shard holding `key`. Taken from bits 32.. of the key's hash:
+    /// the shard maps hash with the same hasher and pick buckets from the
+    /// low bits (and tag bytes from the top seven), so a shard chosen by
+    /// either would leave every key of one shard agreeing in those bits.
     pub(crate) fn shard_index(key: &[u8]) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARD_COUNT - 1)
+        let h = FastBuildHasher::default().hash_one(key);
+        (h >> 32) as usize & (SHARD_COUNT - 1)
     }
 
     /// Returns the value stored at `key`, if any.
@@ -524,6 +528,33 @@ mod tests {
         assert_eq!(s.keys, 2);
         assert_eq!(s.gets, 2);
         assert_eq!(s.writes, 2);
+    }
+
+    #[test]
+    fn tracker_keys_spread_over_every_shard() {
+        // The dependency tracker's record layouts (`dagt ‖ agent` and
+        // `dhst ‖ step ‖ agent`) at the 2,512-agent city's population:
+        // every shard gets keys, and none holds more than twice its share.
+        const AGENT_TAG: [u8; 4] = *b"dagt";
+        const HIST_TAG: [u8; 4] = *b"dhst";
+        let agent_keys: Vec<crate::Key> = (0..2_512u32)
+            .map(|i| crate::Key::tagged_u32(AGENT_TAG, i))
+            .collect();
+        let hist_keys: Vec<crate::Key> = (0..2_512u32)
+            .map(|i| crate::Key::tagged_u32_pair(HIST_TAG, 7 + i % 20, i))
+            .collect();
+        for keys in [agent_keys, hist_keys] {
+            let mut load = [0usize; SHARD_COUNT];
+            for k in &keys {
+                load[Db::shard_index(k.as_ref())] += 1;
+            }
+            let mean = keys.len() / SHARD_COUNT;
+            assert!(load.iter().all(|&n| n > 0), "empty shard: {load:?}");
+            assert!(
+                load.iter().all(|&n| n <= 2 * mean),
+                "shard above 2x the mean {mean}: {load:?}"
+            );
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@
 pub mod codec;
 mod db;
 mod error;
+mod hash;
 mod key;
 mod queue;
 pub mod snapshot;
@@ -62,6 +63,7 @@ mod txn;
 
 pub use db::{Db, DbStats};
 pub use error::StoreError;
+pub use hash::{FastBuildHasher, FastHasher};
 pub use key::Key;
 pub use queue::{PopResult, PriorityQueue, QueueClosed};
 pub use snapshot::{Checkpointer, Snapshot, SnapshotBuilder, SnapshotInfo};

@@ -1,10 +1,11 @@
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use parking_lot::RwLockWriteGuard;
 
-use crate::db::{Db, Entry, ShardInner};
+use crate::db::{Db, Entry, ShardInner, SHARD_COUNT};
 use crate::error::StoreError;
+use crate::hash::FastBuildHasher;
 use crate::key::Key;
 
 /// Default bound on optimistic retry attempts used by [`Db::transaction`].
@@ -25,17 +26,17 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 100;
 pub struct Txn<'db> {
     db: &'db Db,
     /// key -> version observed (0 encodes "absent").
-    reads: HashMap<Bytes, u64>,
+    reads: HashMap<Bytes, u64, FastBuildHasher>,
     /// key -> Some(value) for set, None for delete.
-    writes: HashMap<Bytes, Option<Bytes>>,
+    writes: HashMap<Bytes, Option<Bytes>, FastBuildHasher>,
 }
 
 impl<'db> Txn<'db> {
     fn new(db: &'db Db) -> Self {
         Txn {
             db,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
+            reads: HashMap::default(),
+            writes: HashMap::default(),
         }
     }
 
@@ -136,18 +137,23 @@ impl<'db> Txn<'db> {
     /// validation conflict (caller retries).
     fn commit(self) -> bool {
         let db = self.db;
-        // Lock every involved shard in index order to stay deadlock-free.
-        let mut shard_ids: BTreeSet<usize> = BTreeSet::new();
+        // Lock every involved shard in index order to stay deadlock-free:
+        // a bit per shard, then one guard slot per set bit.
+        const _: () = assert!(SHARD_COUNT <= 16, "the shard mask is 16 bits");
+        let mut mask = 0u16;
         for k in self.reads.keys().chain(self.writes.keys()) {
-            shard_ids.insert(Db::shard_index(k));
+            mask |= 1 << Db::shard_index(k);
         }
-        let mut guards: HashMap<usize, RwLockWriteGuard<'_, ShardInner>> = HashMap::new();
-        for id in &shard_ids {
-            guards.insert(*id, db.shards[*id].write());
+        let mut guards: [Option<RwLockWriteGuard<'_, ShardInner>>; SHARD_COUNT] =
+            Default::default();
+        for (id, guard) in guards.iter_mut().enumerate() {
+            if mask & (1 << id) != 0 {
+                *guard = Some(db.shards[id].write());
+            }
         }
         // Validate the read set under the locks.
         for (key, observed) in &self.reads {
-            let shard = &guards[&Db::shard_index(key)];
+            let shard = guards[Db::shard_index(key)].as_ref().expect("shard locked");
             let current = shard.map.get(key.as_ref()).map(|e| e.version).unwrap_or(0);
             if current != *observed {
                 return false;
@@ -156,8 +162,8 @@ impl<'db> Txn<'db> {
         // Apply the write set.
         let n_writes = self.writes.len() as u64;
         for (key, value) in self.writes {
-            let shard = guards
-                .get_mut(&Db::shard_index(&key))
+            let shard = guards[Db::shard_index(&key)]
+                .as_mut()
                 .expect("shard locked");
             match value {
                 Some(value) => {

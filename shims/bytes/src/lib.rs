@@ -33,9 +33,14 @@ impl Bytes {
         Bytes::from(bytes.to_vec())
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer (one allocation).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        let data: Arc<[u8]> = Arc::from(data);
+        Bytes {
+            start: 0,
+            end: data.len(),
+            data,
+        }
     }
 
     /// Length of the view in bytes.
